@@ -59,7 +59,7 @@ import warnings
 from pathlib import Path
 from typing import Dict, Mapping, Optional, Sequence, Union
 
-from ..errors import TraceCacheCorrupt
+from ..errors import CircuitBreakerOpen, TraceCacheCorrupt
 from ..sim.config import SystemConfig
 from ..sim.results import ResultMatrix, RunResult
 from ..sim.stats import RunStats
@@ -348,6 +348,7 @@ class BenchContext:
         """
         from ..api import ScenarioSpec
         from ..serve.scheduler import SweepScheduler
+        from ..serve.supervise import breaker_root_cause
 
         if jobs is None:
             jobs = self.jobs
@@ -390,7 +391,18 @@ class BenchContext:
                     if progress else None
                 ),
             )
-            scheduler.sweep(specs, on_result=on_result)
+            try:
+                scheduler.sweep(specs, on_result=on_result)
+            except CircuitBreakerOpen as breaker:
+                # A supervised sweep (jobs > 1) that fails wholesale
+                # trips the breaker; when one deterministic error type
+                # explains every failure, raise that error as the
+                # serial path does, so the core count never decides
+                # which exception the caller sees.
+                cause = breaker_root_cause(breaker)
+                if cause is None:
+                    raise
+                raise cause from breaker
         matrix = ResultMatrix(base_label)
         for workload in workloads:
             for label in configs:

@@ -20,8 +20,9 @@ Lifecycle (one backend instance per :class:`System`, built by
    and kernel exactly where the legacy MTLB block used to be.
 3. ``attach(system)`` — late wiring once the TLB, miss handler, and
    kernel all exist.
-4. ``refill_tlb(system, vaddr)`` — the software-visible miss path; both
-   engines call it for every CPU TLB miss.
+4. ``refill_tlb(system, vaddr, kernel_access)`` — the
+   software-visible miss path; both engines call it for every CPU TLB
+   miss.
 5. ``on_shootdown(system, vstart, length)`` — the kernel unmapped or
    remapped a virtual range; drop any backend state naming it.
 6. ``register_metrics(system)`` / ``reach_bytes(system)`` — the
@@ -34,7 +35,7 @@ Lifecycle (one backend instance per :class:`System`, built by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 if TYPE_CHECKING:
     from ..mtlb import Mtlb
@@ -140,12 +141,20 @@ class TranslationBackend:
 
     # -- run-time ------------------------------------------------------- #
 
-    def refill_tlb(self, system: "System", vaddr: int):
+    def refill_tlb(
+        self,
+        system: "System",
+        vaddr: int,
+        kernel_access: Callable[[int, bool], int],
+    ):
         """Service one CPU TLB miss; returns ``(entry, cycles)``.
 
         Must insert the entry into ``system.tlb`` and emit the
         ``TLB_MISS`` trace event (when tracing) — both engines treat
-        this as the complete software miss path.
+        this as the complete software miss path.  The miss handler's
+        hashed-page-table loads and installs go through
+        *kernel_access* — ``System._kernel_access`` unless the vector
+        engine's deferred span is recording them instead.
         """
         raise NotImplementedError
 

@@ -32,7 +32,7 @@ conventional path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Tuple
 
 from .base import TranslationBackend, require_conventional
 from ..addrspace import BASE_PAGE_SIZE, PAGE_SIZES
@@ -107,10 +107,15 @@ class CoalescedBackend(TranslationBackend):
 
     # -- miss path ------------------------------------------------------ #
 
-    def refill_tlb(self, system: "System", vaddr: int):
+    def refill_tlb(
+        self,
+        system: "System",
+        vaddr: int,
+        kernel_access: Callable[[int, bool], int],
+    ):
         try:
             result = system.miss_handler.handle(
-                vaddr, system._kernel_access
+                vaddr, kernel_access
             )
         except PageFault as exc:
             raise SimulationError(

@@ -17,7 +17,7 @@ and the shadow-superpage machine, exactly as before — which is why
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from .base import BackendParts, TranslationBackend
 from ..addrspace import BASE_PAGE_SIZE
@@ -71,7 +71,12 @@ class MtlbBackend(TranslationBackend):
             shadow_allocator=BucketShadowAllocator(config.memory_map),
         )
 
-    def refill_tlb(self, system: "System", vaddr: int):
+    def refill_tlb(
+        self,
+        system: "System",
+        vaddr: int,
+        kernel_access: Callable[[int, bool], int],
+    ):
         """Software TLB refill; returns (entry, handler cycles).
 
         With online promotion enabled, a miss on a base-page mapping may
@@ -81,7 +86,7 @@ class MtlbBackend(TranslationBackend):
         """
         try:
             result = system.miss_handler.handle(
-                vaddr, system._kernel_access
+                vaddr, kernel_access
             )
         except PageFault as exc:
             raise SimulationError(
@@ -97,7 +102,7 @@ class MtlbBackend(TranslationBackend):
             if promoted:
                 system.stats.kernel_cycles += promoted
                 result = system.miss_handler.handle(
-                    vaddr, system._kernel_access
+                    vaddr, kernel_access
                 )
                 cycles += result.cycles
         system.tlb.insert(result.entry)

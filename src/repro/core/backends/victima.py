@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Tuple
 
 from .base import TranslationBackend, require_conventional
 from ..addrspace import (
@@ -137,7 +137,12 @@ class VictimaBackend(TranslationBackend):
         the pool is a model structure, not part of the memory map)."""
         return vpn << CACHE_LINE_SHIFT
 
-    def refill_tlb(self, system: "System", vaddr: int):
+    def refill_tlb(
+        self,
+        system: "System",
+        vaddr: int,
+        kernel_access: Callable[[int, bool], int],
+    ):
         counters = self._counters
         process = system.kernel.current
         pid = process.pid if process is not None else -1
@@ -170,7 +175,7 @@ class VictimaBackend(TranslationBackend):
         counters["pool_misses"] += 1
         try:
             result = system.miss_handler.handle(
-                vaddr, system._kernel_access
+                vaddr, kernel_access
             )
         except PageFault as exc:
             raise SimulationError(

@@ -29,6 +29,8 @@ would try to rebuild them from the formatted message alone).
 
 from __future__ import annotations
 
+from typing import Dict, Optional
+
 
 class ReproError(Exception):
     """Base class for every error the reproduction raises deliberately."""
@@ -364,21 +366,34 @@ class CircuitBreakerOpen(ReproError):
     """
 
     def __init__(self, failures: int, completed: int,
-                 threshold: float) -> None:
+                 threshold: float,
+                 causes: Optional[Dict[str, int]] = None,
+                 exemplar: Optional[BaseException] = None) -> None:
         total = failures + completed
         rate = failures / total if total else 1.0
+        causes = dict(causes or {})
+        breakdown = ", ".join(
+            f"{count} {name}" for name, count in causes.items()
+        )
         super().__init__(
             f"circuit breaker open: {failures}/{total} terminal "
             f"failure(s) ({rate:.0%}) crossed the {threshold:.0%} "
-            f"threshold; aborting the sweep early (completed scenarios "
+            f"threshold"
+            + (f" [{breakdown}]" if breakdown else "")
+            + "; aborting the sweep early (completed scenarios "
             "are committed — rerun resumes from the store)"
         )
         self.failures = failures
         self.completed = completed
         self.threshold = threshold
+        #: Terminal failures per error type name, and one failure of
+        #: the most frequent type.
+        self.causes = causes
+        self.exemplar = exemplar
 
     def __reduce__(self):
-        return (type(self), (self.failures, self.completed, self.threshold))
+        return (type(self), (self.failures, self.completed, self.threshold,
+                             self.causes, self.exemplar))
 
 
 class SweepInterrupted(ReproError):

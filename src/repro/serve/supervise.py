@@ -82,6 +82,7 @@ __all__ = [
     "SupervisionPolicy",
     "SupervisionReport",
     "TaskIntake",
+    "breaker_root_cause",
     "is_transient",
     "load_poison_records",
     "write_interrupt_checkpoint",
@@ -140,6 +141,25 @@ TRANSIENT_ERRORS = (OSError, ScenarioDeadlineExceeded, WorkerCrashed)
 def is_transient(error: BaseException) -> bool:
     """Transient failures are retried; deterministic ones poison."""
     return isinstance(error, TRANSIENT_ERRORS)
+
+
+def breaker_root_cause(error: BaseException) -> Optional[BaseException]:
+    """The failure a tripped breaker stands for, if there is one.
+
+    When every terminal failure of the sweep shares one deterministic
+    error type, that error is the diagnosis — the same one a serial
+    sweep raises from its first failing scenario — and the caller
+    raises it with the breaker chained as ``__cause__``.  Mixed or
+    transient causes return None: the breaker itself is the diagnosis.
+    """
+    if (
+        isinstance(error, CircuitBreakerOpen)
+        and len(error.causes) == 1
+        and error.exemplar is not None
+        and not is_transient(error.exemplar)
+    ):
+        return error.exemplar
+    return None
 
 
 @dataclass(frozen=True)
@@ -665,6 +685,9 @@ class ShardSupervisor:
         self.report = SupervisionReport()
         self._breaker_error: Optional[CircuitBreakerOpen] = None
         self._terminal_failures = 0
+        # Terminal failures per error type, with the first of each.
+        self._terminal_causes: Dict[str, int] = {}
+        self._terminal_exemplars: Dict[str, BaseException] = {}
         # Retry heap; an instance attribute so the failure path can
         # requeue from any depth of the loop.
         self._delayed: List[Tuple[float, int, _JobState]] = []
@@ -1048,6 +1071,11 @@ class ShardSupervisor:
             except OSError:
                 pass  # read-only store: the in-memory report remains
         self._terminal_failures += 1
+        cause = type(error).__name__
+        self._terminal_causes[cause] = (
+            self._terminal_causes.get(cause, 0) + 1
+        )
+        self._terminal_exemplars.setdefault(cause, error)
         on_outcome(
             ScenarioOutcome(
                 task=job.task,
@@ -1071,8 +1099,12 @@ class ShardSupervisor:
         ):
             self.c_breaker_trips.inc()
             self.report.breaker_open = True
+            causes = self._terminal_causes
+            dominant = max(causes, key=causes.get)
             self._breaker_error = CircuitBreakerOpen(
                 self._terminal_failures,
                 self.report.completed,
                 self.policy.breaker_threshold,
+                causes=causes,
+                exemplar=self._terminal_exemplars[dominant],
             )

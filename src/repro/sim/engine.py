@@ -45,9 +45,14 @@ RunStats and metrics value — the equivalence suite
 
   Phases so TLB-miss-dense that windows degenerate (EM3D's random
   pointer chase against a 64-entry TLB misses every ~25 references) are
-  detected and stepped through with the scalar loop
-  (:func:`_scalar_span`), so the vector engine is never meaningfully
-  slower than scalar.
+  detected and handed to a dense-phase span, so the vector engine is
+  never meaningfully slower than scalar.  On a machine that decodes no
+  shadow window the span is :func:`_deferred_span`: it steps only the
+  TLB per reference, recording the refills' page-table accesses, then
+  retires the span's references and those accesses, merged in program
+  order, through the same numpy cache schedule and miss retirement.
+  Everywhere else (MTLB machines, set-associative caches, runs without
+  the fused miss path) it is the scalar loop (:func:`_scalar_span`).
 
 Within a prefix the predictions are exact, not heuristic: hits never
 change TLB content or cache tags (only NRU/dirty bits, which do not
@@ -765,7 +770,8 @@ def _vector_miss_retire(
     store_mask: np.ndarray,
     mp: np.ndarray,
     paddr: np.ndarray,
-) -> Optional[int]:
+    kernel: Optional[np.ndarray] = None,
+) -> Optional[Tuple[int, int]]:
     """Retire a fully covered prefix — misses included — in numpy.
 
     When every fill and victim writeback of the prefix lands in
@@ -786,10 +792,13 @@ def _vector_miss_retire(
     * final tags/dirty bits per touched set are the last reference's,
       committed with one scatter each, and every counter is a sum.
 
-    Returns the memory-stall cycles to add, or None if the prefix does
-    not qualify (some address falls outside installed DRAM — shadow
-    traffic goes through the sequential MTLB path).  On None, nothing
-    has been mutated.
+    Returns ``(user_stall, kernel_stall)``, the fill-stall cycles split
+    by whether the missing access is marked in the program-order
+    *kernel* mask (the deferred span's replayed hashed-page-table
+    accesses; without a mask the kernel share is 0), or None if the
+    prefix does not qualify (some address falls outside installed DRAM
+    — shadow traffic goes through the sequential MTLB path).  On None,
+    nothing has been mutated.
     """
     t = len(li_s)
     nm = len(mp)
@@ -825,7 +834,7 @@ def _vector_miss_retire(
 
     wb_s = ~hit_s & (prev_tag != -1) & dirty_before
     nwb = int(wb_s.sum())
-    stall_sum = 0
+    stall_sum = kernel_stall = 0
     if nm:
         # Back to program order, misses only: each miss's optional
         # victim writeback precedes its fill on the bus/DRAM.
@@ -873,24 +882,32 @@ def _vector_miss_retire(
         n_rhit = int(rhit_b.sum())
         rhit = np.empty(total, dtype=bool)
         rhit[border] = rhit_b
-        n_fill_rhit = int(rhit[fill_pos].sum())
+        fill_rhit = rhit[fill_pos]
 
         timing = mmc.timing
         base_mmc = timing.base_occupancy + (
             timing.shadow_check if mmc.mtlb is not None else 0
         )
-        cpu_sum = (
-            base_mmc * nm
-            + n_fill_rhit * dt.row_hit_cycles
-            + (nm - n_fill_rhit) * dt.row_miss_cycles
-        ) * timing.cpu_cycles_per_mmc_cycle
-
         bt = system.bus.timing
-        bus_ratio = bt.cpu_cycles_per_bus_cycle
         reqret_cpu = (
             bt.request_cycles + bt.line_beats * bt.beat_cycles
-        ) * bus_ratio
-        stall_sum = nm * reqret_cpu + cpu_sum
+        ) * bt.cpu_cycles_per_bus_cycle
+
+        def fill_costs(fills: int, row_hits: int) -> Tuple[int, int]:
+            """(MMC cpu cycles, stall cycles) of *fills* fills."""
+            cpu = (
+                base_mmc * fills
+                + row_hits * dt.row_hit_cycles
+                + (fills - row_hits) * dt.row_miss_cycles
+            ) * timing.cpu_cycles_per_mmc_cycle
+            return cpu, fills * reqret_cpu + cpu
+
+        cpu_sum, stall_sum = fill_costs(nm, int(fill_rhit.sum()))
+        if kernel is not None:
+            k_fill = kernel[mp]
+            kernel_stall = fill_costs(
+                int(k_fill.sum()), int(fill_rhit[k_fill].sum())
+            )[1]
 
         ds = dram.stats
         ds.accesses += total
@@ -919,7 +936,172 @@ def _vector_miss_retire(
     tags[li_s[last]] = tag_s[last]
     d_after = np.where(hit_s, dirty_before | ops_s, ops_s)
     cdirty[li_s[last]] = d_after[last]
-    return stall_sum
+    return stall_sum - kernel_stall, kernel_stall
+
+
+def _deferred_span(
+    system: "System",
+    seg: "Segment",
+    start: int,
+    stop: int,
+    gap_cum: np.ndarray,
+    inst_cycles: int,
+    tlb_miss_cycles: int,
+    mem_stall: int,
+    tlb_misses: int,
+    cache_misses: int,
+) -> Tuple[int, int, int, int, int]:
+    """Dense-phase span on a machine that decodes no shadow window.
+
+    The vector engine's replacement for :func:`_scalar_span` when the
+    fused miss path qualifies and ``mmc.mtlb is None``.  There every
+    fill and writeback is a plain DRAM access and nothing on the cache
+    path can enter the kernel, so the span's cache traffic depends on
+    the TLB only through each reference's physical address, and the
+    TLB sees the cache not at all.  Two passes exploit that:
+
+    1. **TLB only.**  References are probed one at a time exactly as in
+       :func:`_scalar_span` (same MRU probe, same NRU touches, real
+       refills), but the refill handler's hashed-page-table loads and
+       installs are *recorded* through the ``kernel_access`` hook
+       instead of executed.
+    2. **Cache in one pass.**  The span's references and the recorded
+       kernel accesses are merged in program order — a refill's
+       accesses precede the access of the reference that missed — and
+       the merged stream retires through :func:`_self_consistent_hits`
+       and :func:`_vector_miss_retire`.
+
+    Each kernel access costs 1 cycle plus its fill stall on a miss
+    (``System._kernel_access``); those cycles land in the span's
+    TLB-miss cycles and the miss handler's total, the user share of the
+    fill stall in memory stall.  Kernel accesses count in the cache
+    stats and move ``mutation_stamp`` exactly as
+    ``DirectMappedCache.access`` would.  Same accumulator contract as
+    :func:`_scalar_span`.
+    """
+    v = seg.vaddrs[start:stop]
+
+    # Pass 1: the TLB, reference by reference.
+    tlb = system.tlb
+    by_size = tlb._by_size
+    sizes = tlb._sizes  # live list: refills mutate it in place
+    mru_size = tlb._mru_size
+    refill = system._refill_tlb
+    deltas: List[int] = []  # pbase - vbase per reference
+    k_addr: List[int] = []
+    k_write: List[bool] = []
+    k_pos: List[int] = []  # reference each kernel access precedes
+
+    def record(paddr: int, is_write: bool) -> int:
+        k_addr.append(paddr)
+        k_write.append(is_write)
+        k_pos.append(len(deltas))
+        return 0  # charged after pass 2
+
+    for vaddr in v.tolist():
+        # The _scalar_span probe, verbatim.
+        entry = None
+        if mru_size is not None:
+            table = by_size.get(mru_size)
+            if table is not None:
+                entry = table.get(vaddr & ~(mru_size - 1))
+        if entry is not None:
+            if sizes[0] < mru_size:
+                for size in sizes:
+                    if size >= mru_size:
+                        break
+                    small = by_size[size].get(vaddr & ~(size - 1))
+                    if small is not None:
+                        entry = small
+                        break
+                mru_size = entry.size
+        else:
+            for size in sizes:
+                if size == mru_size:
+                    continue
+                found = by_size[size].get(vaddr & ~(size - 1))
+                if found is not None:
+                    entry = found
+                    mru_size = size
+                    break
+        if entry is None:
+            tlb_misses += 1
+            entry, cost = refill(vaddr, record)
+            tlb_miss_cycles += cost
+            mru_size = entry.size
+        else:
+            entry.nru_referenced = True
+        deltas.append(entry.pbase - entry.vbase)
+    tlb._mru_size = mru_size
+
+    # Pass 2: the merged access stream through the cache, in one go.
+    cache = system.cache
+    n_user = stop - start
+    n_kernel = len(k_addr)
+    user_paddr = v + np.array(deltas, dtype=np.int64)
+    user_index = user_paddr if cache.physically_indexed else v
+    user_store = seg.ops[start:stop] != 0
+    kernel = None
+    if n_kernel:
+        # Kernel access j lands after the k_pos[j] references and j
+        # kernel accesses that precede it.
+        k_at = np.array(k_pos, dtype=np.int64) + np.arange(n_kernel)
+        kernel = np.zeros(n_user + n_kernel, dtype=bool)
+        kernel[k_at] = True
+        user = ~kernel
+        paddr = np.empty(n_user + n_kernel, dtype=np.int64)
+        paddr[user] = user_paddr
+        paddr[k_at] = k_addr
+        index = paddr.copy()  # kernel accesses index by paddr
+        index[user] = user_index
+        store = np.empty(n_user + n_kernel, dtype=bool)
+        store[user] = user_store
+        store[k_at] = k_write
+    else:
+        paddr, index, store = user_paddr, user_index, user_store
+    line_idx = (index >> CACHE_LINE_SHIFT) & cache._index_mask
+    hit, order, li_s, tag_s, prev_tag, first = _self_consistent_hits(
+        cache._tags, line_idx, paddr >> CACHE_LINE_SHIFT
+    )
+    mp = np.flatnonzero(~hit)
+    split = _vector_miss_retire(
+        system,
+        cache._tags,
+        cache._dirty,
+        order,
+        li_s,
+        tag_s,
+        prev_tag,
+        first,
+        store,
+        mp,
+        paddr,
+        kernel,
+    )
+    if split is None:
+        # Victims were filled before they were evicted, so the culprit
+        # is a fill; the first one in program order is what the scalar
+        # path trips on.
+        fills = paddr[mp]
+        raise BadPhysicalAddress(
+            int(fills[np.argmax(fills >= system.mmc.memory_map.dram_size)])
+        )
+    user_stall, kernel_stall = split
+    k_misses = int(kernel[mp].sum()) if n_kernel else 0
+    cache_misses += len(mp) - k_misses
+    mem_stall += user_stall
+    base_gap = int(gap_cum[start - 1]) if start else 0
+    inst_cycles += n_user + int(gap_cum[stop - 1]) - base_gap
+    if n_kernel:
+        k_cycles = n_kernel + kernel_stall
+        tlb_miss_cycles += k_cycles
+        system.miss_handler.stats.total_cycles += k_cycles
+        cs = cache.stats
+        cs.accesses += n_kernel
+        cs.hits += n_kernel - k_misses
+        cs.misses += k_misses
+        cache.mutation_stamp += k_misses
+    return inst_cycles, tlb_miss_cycles, mem_stall, tlb_misses, cache_misses
 
 
 def run_segment_vector(
@@ -972,6 +1154,10 @@ def run_segment_vector(
         + stats.tlb_miss_cycles
         + stats.kernel_cycles
     )
+
+    # Dense phases on a machine with no shadow window defer their cache
+    # traffic (_deferred_span); anywhere else they step scalar.
+    deferred = fused is not None and mmc.mtlb is None
 
     fault_plan = system.fault_plan
     state = system.engine_state
@@ -1055,7 +1241,7 @@ def run_segment_vector(
                     paddr,
                 )
                 if added is not None:
-                    mem_stall += added
+                    mem_stall += added[0]
                     cache_misses += nm
                     retired = True
             if not retired:
@@ -1186,30 +1372,39 @@ def run_segment_vector(
         cur = i + 1
         # TLB misses are what end prefixes, so the window chases the
         # observed TLB-hit run length; two degenerate prefixes in a row
-        # hand the next stretch to the scalar loop outright.
+        # hand the next stretch to a dense-phase span outright.
         dense = dense + 1 if t < DENSE_RUN else 0
         if dense >= 2 and cur < n:
             span_end = min(cur + SCALAR_SPAN, n)
+            acc = (
+                inst_cycles,
+                tlb_miss_cycles,
+                mem_stall,
+                tlb_misses,
+                cache_misses,
+            )
+            if deferred:
+                acc = _deferred_span(
+                    system, seg, cur, span_end, gap_cum, *acc
+                )
+            else:
+                acc = _scalar_span(
+                    system,
+                    seg,
+                    cur,
+                    span_end,
+                    seg_base,
+                    *acc,
+                    fill_path=miss_path,
+                    wb_path=wb_path,
+                )
             (
                 inst_cycles,
                 tlb_miss_cycles,
                 mem_stall,
                 tlb_misses,
                 cache_misses,
-            ) = _scalar_span(
-                system,
-                seg,
-                cur,
-                span_end,
-                seg_base,
-                inst_cycles,
-                tlb_miss_cycles,
-                mem_stall,
-                tlb_misses,
-                cache_misses,
-                fill_path=miss_path,
-                wb_path=wb_path,
-            )
+            ) = acc
             cur = span_end
             dense = 0
             window = INITIAL_WINDOW

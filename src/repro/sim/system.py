@@ -18,7 +18,7 @@ kernel operation go through the ordinary component APIs either way.
 from __future__ import annotations
 
 import warnings
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.addrspace import BASE_PAGE_SHIFT, BASE_PAGE_SIZE, CACHE_LINE_SIZE
 from ..core.mtlb import Mtlb, MtlbFault
@@ -539,13 +539,22 @@ class System:
         if self.sanitizers is not None:
             self.sanitizers.run(f"segment {seg.label!r}")
 
-    def _refill_tlb(self, vaddr: int):
+    def _refill_tlb(
+        self,
+        vaddr: int,
+        kernel_access: Optional[Callable[[int, bool], int]] = None,
+    ):
         """Software TLB refill; returns (entry, handler cycles).
 
         Delegates to the translation backend's miss path (DESIGN.md
-        §16); both engines call this for every CPU TLB miss.
+        §16); both engines call this for every CPU TLB miss.  The
+        handler's kernel accesses go through :meth:`_kernel_access`
+        unless *kernel_access* replaces it (the vector engine's
+        deferred span records them for one batched replay).
         """
-        return self.backend.refill_tlb(self, vaddr)
+        return self.backend.refill_tlb(
+            self, vaddr, kernel_access or self._kernel_access
+        )
 
     #: Bound on consecutive parity-fault recoveries for one fill; a
     #: correctly scrubbing kernel converges in one pass, so hitting the

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.bench import BenchContext
 from repro.check.corpus import (
     CORPUS,
     corpus_config,
@@ -18,6 +19,7 @@ from repro.check.corpus import (
 from repro.check.lockstep import run_lockstep
 from repro.check.shrink import emit_repro, shrink_trace
 from repro.errors import InvariantViolation
+from repro.sim.config import paper_no_mtlb
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -32,12 +34,29 @@ def config():
     return corpus_config()
 
 
+@pytest.fixture(scope="module")
+def vortex_trace(tmp_path_factory):
+    ctx = BenchContext(
+        quick=True, cache_dir=tmp_path_factory.mktemp("vortex_traces")
+    )
+    return ctx.trace("vortex")
+
+
 class TestLockstep:
     def test_clean_engines_identical(self, trace, config):
         report = run_lockstep(trace, config)
         assert report.identical
         assert report.boundaries == 8  # 2 events + 6 segments
         assert "identical" in report.render()
+
+    @pytest.mark.parametrize("tlb", [64, 96])
+    def test_conventional_vortex_engines_identical(self, vortex_trace, tlb):
+        """A dense conventional machine: the vector engine retires most
+        of it through deferred-cache spans."""
+        report = run_lockstep(
+            vortex_trace, paper_no_mtlb(tlb), workload="vortex"
+        )
+        assert report.identical, report.render()
 
     def test_planted_state_divergence_located(self, trace, config):
         bug = get_bug("vector-dirty-mark")

@@ -7,7 +7,12 @@ engines may only differ in wall-clock time.  These tests are the
 contract's enforcement:
 
 * a golden run of all five paper workloads at the quick (CI) scales,
-  mixing no-MTLB, MTLB, and online-promotion configurations;
+  mixing no-MTLB, MTLB, and online-promotion configurations, plus
+  conventional vortex — the dense conventional machine whose TLB-miss
+  storms run the vector engine's deferred-cache span;
+* a targeted deferred-span machine (tiny TLB, physically indexed
+  cache, hashed-page-table installs inside the span) compared on every
+  counter the span touches, with a spy proving the span ran;
 * hypothesis-sampled machine geometries at tiny scales, so geometry
   corners (tiny TLBs, fully associative MTLBs) are exercised too;
 * the policy surface: ``engine="vector"`` on an unbatchable machine
@@ -17,11 +22,15 @@ contract's enforcement:
 
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.sim.engine as engine
 from repro.bench import BenchContext
+from repro.core.addrspace import BASE_PAGE_SIZE
+from repro.cpu.tlb import TlbEntry
 from repro.errors import SimulationError
 from repro.faults import FaultConfig
 from repro.obs import stats_metrics
@@ -32,8 +41,19 @@ from repro.sim.config import (
     paper_no_mtlb,
     paper_promotion,
 )
-from repro.sim.engine import resolve_engine, vector_supported
+from repro.mem.mmc import BadPhysicalAddress
+from repro.sim.engine import (
+    _deferred_span,
+    _scalar_span,
+    _self_consistent_hits,
+    _vector_miss_retire,
+    resolve_engine,
+    vector_supported,
+)
 from repro.sim.system import System
+from repro.trace import synth
+from repro.trace.events import MapConventional, MapRegion
+from repro.trace.trace import Trace, make_segment
 from repro.workloads import PAPER_SUITE
 
 #: One configuration per workload, covering both sides of the Figure 3
@@ -87,8 +107,129 @@ class TestGoldenEquivalence:
             quick_ctx, workload, GOLDEN_CONFIGS[workload]
         )
 
+    @pytest.mark.parametrize("tlb", [64, 96])
+    def test_conventional_vortex_bit_identical(self, quick_ctx, tlb):
+        """Vortex misses the TLB every ~20 references, so on a machine
+        with no MTLB most of it retires through deferred spans."""
+        assert_bit_identical(quick_ctx, "vortex", paper_no_mtlb(tlb))
+
     def test_promotion_config_bit_identical(self, tiny_ctx):
         assert_bit_identical(tiny_ctx, "em3d", paper_promotion())
+
+
+REGION = 0x0200_0000
+REGION_LEN = 1024 * BASE_PAGE_SIZE
+#: 16 KB- but not 64 KB-aligned, so the conventional superpages come in
+#: mixed sizes; their HPT entries are installed on first touch.
+SUPER = 0x0410_4000
+SUPER_LEN = (1 << 20) + (48 << 10)
+
+
+def deferred_trace():
+    """A warm-up segment that drives a tiny TLB into the dense-phase
+    escape, then a mixed segment whose first touches of conventional
+    superpages do HPT segment walks (installs) mid-span."""
+    rng = np.random.default_rng(7)
+    n = 12000
+    trace = Trace("deferred")
+    trace.add(MapRegion(REGION, REGION_LEN))
+    trace.add(MapConventional(SUPER, SUPER_LEN))
+    warm = synth.uniform_random(rng, REGION, REGION_LEN, n)
+    trace.add(
+        make_segment("warm", warm, write_mask=rng.random(n) < 0.3, gap=2)
+    )
+    mixed = np.where(
+        rng.random(n) < 0.5,
+        synth.uniform_random(rng, REGION, REGION_LEN, n),
+        synth.uniform_random(rng, SUPER, SUPER_LEN, n),
+    )
+    trace.add(
+        make_segment("mixed", mixed, write_mask=rng.random(n) < 0.3, gap=1)
+    )
+    return trace
+
+
+class TestDeferredSpan:
+    def test_hpt_installs_inside_span_identical(self, monkeypatch):
+        walks_in_spans = []
+
+        def spy(system, *args):
+            before = system.miss_handler.stats.segment_walks
+            acc = _deferred_span(system, *args)
+            walks_in_spans.append(
+                system.miss_handler.stats.segment_walks - before
+            )
+            return acc
+
+        monkeypatch.setattr(engine, "_deferred_span", spy)
+        config = dataclasses.replace(
+            paper_no_mtlb(8),
+            cache=CacheConfig(physically_indexed=True),
+        )
+        trace = deferred_trace()
+        seen = {}
+        for name in ("scalar", "vector"):
+            system = System(dataclasses.replace(config, engine=name))
+            result = system.run(trace)
+            metrics = system.metrics.collect()
+            # The one registry value that names the engine by design.
+            del metrics["sim.engine_resolved"]
+            seen[name] = (
+                dataclasses.asdict(result.stats),
+                metrics,
+                dataclasses.asdict(system.miss_handler.stats),
+                dataclasses.asdict(system.kernel.hpt.stats),
+                system.cache.mutation_stamp,
+            )
+        assert walks_in_spans and sum(walks_in_spans) > 0
+        assert seen["scalar"] == seen["vector"]
+
+    def test_miss_retire_kernel_split_sums_to_total(self):
+        rng = np.random.default_rng(3)
+        t = 4000
+        paddr = rng.integers(0, 1 << 22, t, dtype=np.int64) & ~31
+        store = rng.random(t) < 0.4
+        kernel = rng.random(t) < 0.2
+        results = []
+        for mask in (None, kernel):
+            system = System(paper_no_mtlb(64))
+            cache = system.cache
+            line_idx = (paddr >> 5) & cache._index_mask
+            hit, order, li_s, tag_s, prev_tag, first = (
+                _self_consistent_hits(cache._tags, line_idx, paddr >> 5)
+            )
+            split = _vector_miss_retire(
+                system, cache._tags, cache._dirty, order, li_s, tag_s,
+                prev_tag, first, store, np.flatnonzero(~hit), paddr, mask,
+            )
+            results.append((split, dataclasses.asdict(system.stats)))
+        (total, kernel_none), stats_plain = results[0]
+        (user, kernel_share), stats_split = results[1]
+        assert kernel_none == 0
+        assert 0 < kernel_share < total
+        assert user + kernel_share == total
+        assert stats_plain == stats_split
+
+    def test_fill_outside_dram_raises_like_scalar(self):
+        dram = paper_no_mtlb(8).memory_map.dram_size
+        vaddrs = REGION + 64 * np.arange(200, dtype=np.int64) % 4096
+        seg = make_segment("bad", vaddrs, gap=0)
+        raised = []
+        for span in ("scalar", "deferred"):
+            system = System(paper_no_mtlb(8))
+            system.tlb.insert(
+                TlbEntry(vbase=REGION, pbase=dram, size=BASE_PAGE_SIZE)
+            )
+            with pytest.raises(BadPhysicalAddress) as exc:
+                if span == "scalar":
+                    _scalar_span(system, seg, 0, seg.refs, 0, 0, 0, 0, 0, 0)
+                else:
+                    _deferred_span(
+                        system, seg, 0, seg.refs,
+                        np.cumsum(seg.gaps, dtype=np.int64), 0, 0, 0, 0, 0,
+                    )
+            raised.append(exc.value.paddr)
+        assert raised[0] == raised[1] == dram
 
 
 class TestSampledGeometries:

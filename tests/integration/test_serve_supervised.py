@@ -12,12 +12,18 @@ import dataclasses
 import pytest
 
 from repro.api import ScenarioSpec, Session
-from repro.errors import CircuitBreakerOpen, PoisonedScenario
+from repro.bench import BenchContext
+from repro.errors import (
+    CircuitBreakerOpen,
+    PoisonedScenario,
+    ReferenceBudgetExceeded,
+)
 from repro.serve import SweepClient
 from repro.serve.chaos import ChaosConfig, run_soak
 from repro.serve.supervise import (
     ShutdownGuard,
     SupervisionPolicy,
+    breaker_root_cause,
     load_poison_records,
 )
 from repro.sim.config import paper_mtlb, paper_no_mtlb
@@ -215,6 +221,52 @@ class TestCircuitBreaker:
         assert not any(r.ok for r in reports)
         assert client.last_supervision.breaker_open
         assert client.registry.value("serve.breaker_trips") == 1
+
+    def test_breaker_carries_causes_and_exemplar(self, tmp_path):
+        policy = dataclasses.replace(
+            FAST,
+            poison_threshold=1,
+            max_attempts=1,
+            breaker_threshold=0.5,
+            breaker_min_samples=2,
+        )
+        client = _client(tmp_path, "store", policy=policy)
+        with pytest.raises(CircuitBreakerOpen) as exc:
+            client.sweep(self._failing_specs())
+        breaker = exc.value
+        assert breaker.causes == {
+            "ReferenceBudgetExceeded": breaker.failures
+        }
+        assert "ReferenceBudgetExceeded" in str(breaker)
+        assert isinstance(breaker.exemplar, ReferenceBudgetExceeded)
+        assert breaker_root_cause(breaker) is breaker.exemplar
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failing_matrix_raises_the_same_type_at_any_jobs(
+        self, tmp_path, jobs
+    ):
+        """The serial path raises the first scenario's error; the
+        supervised path trips the breaker (8 cells, every one over
+        budget) and must surface the same typed error, with the
+        breaker chained as its cause."""
+        ctx = BenchContext(
+            quick=True,
+            scales=dict(TINY),
+            cache_dir=tmp_path / "cache",
+            max_references=10,
+        )
+        configs = {
+            f"{kind}{tlb}": factory(tlb)
+            for kind, factory in (
+                ("base", paper_no_mtlb), ("mtlb", paper_mtlb)
+            )
+            for tlb in (64, 128)
+        }
+        with pytest.raises(ReferenceBudgetExceeded) as exc:
+            ctx.run_matrix(["em3d", "radix"], configs, "base64",
+                           jobs=jobs)
+        if jobs > 1:
+            assert isinstance(exc.value.__cause__, CircuitBreakerOpen)
 
 
 class TestGracefulDrain:

@@ -7,6 +7,7 @@ sidecar format, and the two-stage shutdown state machine.
 """
 
 import json
+import pickle
 import random
 import signal
 
@@ -14,6 +15,8 @@ import pytest
 
 from repro.api import ScenarioSpec
 from repro.errors import (
+    CircuitBreakerOpen,
+    ReferenceBudgetExceeded,
     ScenarioDeadlineExceeded,
     SimulationError,
     SpecValidationError,
@@ -27,6 +30,7 @@ from repro.serve.supervise import (
     ShutdownGuard,
     SupervisionPolicy,
     SupervisionReport,
+    breaker_root_cause,
     is_transient,
     load_poison_records,
     write_interrupt_checkpoint,
@@ -130,6 +134,39 @@ class TestSpecSupervisionKnobs:
             context,
         )
         assert plain == tuned
+
+
+class TestBreakerRootCause:
+    def test_sole_deterministic_cause_is_the_root(self):
+        cause = ReferenceBudgetExceeded(20, 10)
+        breaker = CircuitBreakerOpen(
+            8, 0, 0.5, {"ReferenceBudgetExceeded": 8}, cause
+        )
+        assert breaker_root_cause(breaker) is cause
+        assert "8 ReferenceBudgetExceeded" in str(breaker)
+
+    def test_mixed_or_transient_causes_have_no_root(self):
+        mixed = CircuitBreakerOpen(
+            8, 0, 0.5,
+            {"ReferenceBudgetExceeded": 5, "SimulationError": 3},
+            ReferenceBudgetExceeded(20, 10),
+        )
+        transient = CircuitBreakerOpen(
+            8, 0, 0.5, {"WorkerCrashed": 8}, WorkerCrashed("a", -9)
+        )
+        assert breaker_root_cause(mixed) is None
+        assert breaker_root_cause(transient) is None
+        assert breaker_root_cause(CircuitBreakerOpen(8, 0, 0.5)) is None
+
+    def test_pickle_round_trip_keeps_causes(self):
+        breaker = CircuitBreakerOpen(
+            8, 2, 0.5, {"ReferenceBudgetExceeded": 8},
+            ReferenceBudgetExceeded(20, 10),
+        )
+        clone = pickle.loads(pickle.dumps(breaker))
+        assert clone.causes == breaker.causes
+        assert isinstance(clone.exemplar, ReferenceBudgetExceeded)
+        assert str(clone) == str(breaker)
 
 
 def _poison(fingerprint="ab" + "0" * 62):
