@@ -59,7 +59,7 @@ import warnings
 from pathlib import Path
 from typing import Dict, Mapping, Optional, Sequence, Union
 
-from ..errors import CircuitBreakerOpen, TraceCacheCorrupt
+from ..errors import CircuitBreakerOpen, PoisonedScenario, TraceCacheCorrupt
 from ..sim.config import SystemConfig
 from ..sim.results import ResultMatrix, RunResult
 from ..sim.stats import RunStats
@@ -348,7 +348,7 @@ class BenchContext:
         """
         from ..api import ScenarioSpec
         from ..serve.scheduler import SweepScheduler
-        from ..serve.supervise import breaker_root_cause
+        from ..serve.supervise import breaker_root_cause, is_transient
 
         if jobs is None:
             jobs = self.jobs
@@ -403,6 +403,13 @@ class BenchContext:
                 if cause is None:
                     raise
                 raise cause from breaker
+            except PoisonedScenario as poison:
+                # Too few failures to trip the breaker: the poisoned
+                # cell's own deterministic error is the diagnosis, as
+                # on the serial path.
+                if poison.error is None or is_transient(poison.error):
+                    raise
+                raise poison.error from poison
         matrix = ResultMatrix(base_label)
         for workload in workloads:
             for label in configs:

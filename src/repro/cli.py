@@ -44,10 +44,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import os
+import platform
 import sys
 import time
 from pathlib import Path
 from typing import List, Optional
+
+import numpy as np
 
 from . import __version__
 from .bench import (
@@ -182,7 +185,10 @@ def _write_perf_baseline(
     diff`` (``wall_seconds`` is lower-is-better).  *extra* adds further
     metrics (the trace-store bench records peak RSS and
     time-to-first-cell).  Unlike the per-figure metric snapshots this
-    file is merged, not overwritten: it accumulates the perf baseline.
+    file is merged, not overwritten: it accumulates the perf baseline,
+    so each row carries its own provenance (the context's seed, scales
+    and release, plus the host's core count and Python/numpy versions)
+    and the file has no top-level ``meta`` to speak for all of them.
     """
     path = Path("BENCH_perf.json")
     snapshot = None
@@ -203,8 +209,14 @@ def _write_perf_baseline(
     metrics = {"wall_seconds": round(wall_seconds, 3)}
     if extra:
         metrics.update(extra)
-    snapshot["runs"][key] = {"metrics": metrics}
-    snapshot["meta"] = _context_meta(context)
+    meta = _context_meta(context)
+    meta.update(
+        nproc=os.cpu_count(),
+        python=platform.python_version(),
+        numpy=np.__version__,
+    )
+    snapshot["runs"][key] = {"metrics": metrics, "meta": meta}
+    snapshot.pop("meta", None)
     write_snapshot(snapshot, path)
     print(f"wrote {path} ({key}: {wall_seconds:.2f}s wall)")
 

@@ -337,11 +337,13 @@ class PoisonedScenario(ReproError):
     The supervisor quarantines it into a typed
     :class:`~repro.serve.supervise.PoisonRecord` sidecar and completes
     the sweep with a partial-result report instead of dying;
-    ``attempts`` is how many times it was tried and ``last_error`` is
-    the final failure.
+    ``attempts`` is how many times it was tried, ``last_error`` is
+    the final failure rendered, and ``error`` the final failure itself
+    (None when only the rendering survived).
     """
 
-    def __init__(self, label: str, attempts: int, last_error: str) -> None:
+    def __init__(self, label: str, attempts: int, last_error: str,
+                 error: Optional[BaseException] = None) -> None:
         super().__init__(
             f"scenario {label} poisoned after {attempts} failed "
             f"attempt(s): {last_error}"
@@ -349,9 +351,11 @@ class PoisonedScenario(ReproError):
         self.label = label
         self.attempts = attempts
         self.last_error = last_error
+        self.error = error
 
     def __reduce__(self):
-        return (type(self), (self.label, self.attempts, self.last_error))
+        return (type(self), (self.label, self.attempts, self.last_error,
+                             self.error))
 
 
 class CircuitBreakerOpen(ReproError):

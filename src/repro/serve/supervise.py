@@ -1080,7 +1080,7 @@ class ShardSupervisor:
             ScenarioOutcome(
                 task=job.task,
                 error=PoisonedScenario(
-                    job.task.label, job.attempts, record.last_error
+                    job.task.label, job.attempts, record.last_error, error
                 ),
                 attempts=job.attempts,
             )

@@ -36,10 +36,15 @@ RunStats and metrics value — the equivalence suite
      (:meth:`~repro.cpu.tlb.Tlb.touch_pages`), applied before the next
      refill can read them.
 
-  Only the misses walk the real machine: each one runs the *same*
-  scalar miss path (writeback, fill stall, fault service, tracer clock
-  stamping).  If fault service reaches the kernel and the kernel
-  touches the cache — observable as a moved
+  With the fused miss path, a prefix whose fills and victim
+  writebacks all land in DRAM or behind valid shadow mappings cannot
+  fault, so its misses retire in the same batch
+  (:func:`_vector_miss_retire`): numpy for the DRAM row chain, stalls,
+  counters and final cache state, one Python pass for the MTLB's NRU
+  state.  Otherwise the misses walk the real machine one at a time:
+  each one runs the *same* scalar miss path (writeback, fill stall,
+  fault service, tracer clock stamping).  If fault service reaches the
+  kernel and the kernel touches the cache — observable as a moved
   :attr:`~repro.mem.cache.DirectMappedCache.mutation_stamp` — the rest
   of the schedule is stale and prediction restarts after that miss.
 
@@ -102,7 +107,7 @@ from ..core.addrspace import (
     BASE_PAGE_SHIFT,
     CACHE_LINE_SHIFT,
 )
-from ..core.mtlb import MtlbFault, _Way
+from ..core.mtlb import Mtlb, MtlbFault, _Way
 from ..core.shadow_table import (
     DIRTY_BIT,
     FAULT_BIT,
@@ -115,6 +120,7 @@ from ..mem.cache import DirectMappedCache, SetAssociativeCache
 from ..mem.mmc import BadPhysicalAddress
 
 if TYPE_CHECKING:
+    from ..mem.dram import Dram
     from ..os_model.process import Process
     from ..trace.trace import Segment
     from .system import System
@@ -327,6 +333,7 @@ def _fused_paths(
         sets = mtlb._sets
         set_mask = mtlb._set_mask
         assoc = mtlb.associativity
+        evict = mtlb._evict  # counts its own evictions, live
 
     # Deferred event counters, folded into the stats objects by drain().
     # The set is deliberately minimal — everything derivable is derived
@@ -340,12 +347,12 @@ def _fused_paths(
     # minus misses, and every MTLB miss is exactly one hardware fill.
     d_dram_acc = d_dram_miss = 0
     d_fills = d_shadow_fills = d_wbs = d_shadow_wbs = d_fill_cpu = 0
-    d_m_look = d_m_miss = d_m_evict = d_m_fault = d_m_bits = 0
+    d_m_look = d_m_miss = d_m_fault = d_m_bits = 0
 
     def drain() -> None:
         nonlocal d_dram_acc, d_dram_miss
         nonlocal d_fills, d_shadow_fills, d_wbs, d_shadow_wbs, d_fill_cpu
-        nonlocal d_m_look, d_m_miss, d_m_evict, d_m_fault, d_m_bits
+        nonlocal d_m_look, d_m_miss, d_m_fault, d_m_bits
         ds = dram.stats
         ds.accesses += d_dram_acc
         ds.row_hits += d_dram_acc - d_dram_miss
@@ -371,10 +378,9 @@ def _fused_paths(
             ts.hits += d_m_look - d_m_miss
             ts.misses += d_m_miss
             ts.fills += d_m_miss
-            ts.evictions += d_m_evict
             ts.faults += d_m_fault
             ts.bit_writebacks += d_m_bits
-            d_m_look = d_m_miss = d_m_evict = d_m_fault = d_m_bits = 0
+            d_m_look = d_m_miss = d_m_fault = d_m_bits = 0
 
     def fill(paddr: int, op: int) -> int:
         """``System._fill_stall`` with the whole machine inlined.
@@ -385,7 +391,7 @@ def _fused_paths(
         """
         nonlocal d_dram_acc, d_dram_miss
         nonlocal d_fills, d_shadow_fills, d_fill_cpu
-        nonlocal d_m_look, d_m_miss, d_m_evict, d_m_fault, d_m_bits
+        nonlocal d_m_look, d_m_miss, d_m_fault, d_m_bits
         paged_in = False
         while True:
             mmc_c = base_mmc
@@ -403,17 +409,7 @@ def _fused_paths(
                     raw = int(entries_arr[si])
                     way = _Way(si, raw & PFN_MASK, bool(raw & VALID_BIT))
                     if len(ws) >= assoc:
-                        victim = None
-                        for key, w in ws.items():
-                            if not w.nru_referenced:
-                                victim = key
-                                break
-                        if victim is None:
-                            for w in ws.values():
-                                w.nru_referenced = False
-                            victim = next(iter(ws))
-                        del ws[victim]
-                        d_m_evict += 1
+                        evict(ws)
                     ws[si] = way
                     filled = True
                 if not way.valid:
@@ -476,7 +472,7 @@ def _fused_paths(
         buffered and never stall the processor)."""
         nonlocal d_dram_acc, d_dram_miss
         nonlocal d_wbs, d_shadow_wbs
-        nonlocal d_m_look, d_m_miss, d_m_evict, d_m_fault, d_m_bits
+        nonlocal d_m_look, d_m_miss, d_m_fault, d_m_bits
         if shadow_base <= paddr < shadow_end:
             si = (paddr - shadow_base) >> BASE_PAGE_SHIFT
             d_m_look += 1
@@ -490,17 +486,7 @@ def _fused_paths(
                 raw = int(entries_arr[si])
                 way = _Way(si, raw & PFN_MASK, bool(raw & VALID_BIT))
                 if len(ws) >= assoc:
-                    victim = None
-                    for key, w in ws.items():
-                        if not w.nru_referenced:
-                            victim = key
-                            break
-                    if victim is None:
-                        for w in ws.values():
-                            w.nru_referenced = False
-                        victim = next(iter(ws))
-                    del ws[victim]
-                    d_m_evict += 1
+                    evict(ws)
                 ws[si] = way
                 filled = True
             if not way.valid:
@@ -758,6 +744,84 @@ def _self_consistent_hits(
     return hit, order, li_s, tag_s, prev_tag, first
 
 
+def _row_chain(dram: "Dram", rows: np.ndarray) -> np.ndarray:
+    """Open-row hit mask of a DRAM access stream given in program order.
+
+    The cache-schedule trick again: an access hits iff its row equals
+    the previous same-bank access's row, or the live open row for a
+    bank's first access.  Commits the last row of each touched bank to
+    ``dram._open_rows``; counters are the caller's.
+    """
+    dt = dram.timing
+    total = len(rows)
+    bank = rows % dt.banks
+    border = np.argsort(bank, kind="stable")
+    row_b = rows[border]
+    bank_b = bank[border]
+    prev_row = np.empty(total, dtype=np.int64)
+    prev_row[1:] = row_b[:-1]
+    bfirst = np.empty(total, dtype=bool)
+    bfirst[0] = True
+    np.not_equal(bank_b[1:], bank_b[:-1], out=bfirst[1:])
+    open_rows = dram._open_rows
+    prev_row[bfirst] = np.asarray(open_rows, dtype=np.int64)[bank_b[bfirst]]
+    blast = np.empty(total, dtype=bool)
+    blast[:-1] = bfirst[1:]
+    blast[-1] = True
+    for b, r in zip(bank_b[blast].tolist(), row_b[blast].tolist()):
+        open_rows[b] = r
+    rhit = np.empty(total, dtype=bool)
+    rhit[border] = row_b == prev_row
+    return rhit
+
+
+def _mtlb_pass(
+    mtlb: Mtlb, si: List[int], write: List[bool], pfn: List[int]
+) -> Tuple[List[int], List[int], int]:
+    """Run an MTLB access stream through the live way sets, in order.
+
+    ``Mtlb.access`` with no injection sites and no faults (the caller
+    has checked every touched mapping valid): a hit sets the way's NRU
+    bit, a miss fills a way from *pfn* (the table's frame for that
+    access, read up front — nothing writes a frame mid-window) after
+    ``Mtlb._evict`` makes room in a full set.  Translation goes through
+    the way's cached frame, not the table, so a missed purge behaves
+    as in the sequential path.
+
+    Returns ``(missed, frames, bit_writes)``: the stream positions that
+    filled, each access's frame, and the first-time accounting-bit
+    write count.
+    """
+    sets = mtlb._sets
+    set_mask = mtlb._set_mask
+    assoc = mtlb.associativity
+    evict = mtlb._evict
+    missed: List[int] = []
+    frames: List[int] = []
+    bits = 0
+    for i, s in enumerate(si):
+        ws = sets[s & set_mask]
+        way = ws.get(s)
+        if way is not None:
+            way.nru_referenced = True
+        else:
+            missed.append(i)
+            way = _Way(s, pfn[i], True)
+            if len(ws) >= assoc:
+                evict(ws)
+            ws[s] = way
+        if write[i]:
+            if not way.dirty_written:
+                way.dirty_written = True
+                way.ref_written = True
+                bits += 1
+        elif not way.ref_written:
+            way.ref_written = True
+            bits += 1
+        frames.append(way.pfn)
+    return missed, frames, bits
+
+
 def _vector_miss_retire(
     system: "System",
     tags: np.ndarray,
@@ -772,23 +836,25 @@ def _vector_miss_retire(
     paddr: np.ndarray,
     kernel: Optional[np.ndarray] = None,
 ) -> Optional[Tuple[int, int]]:
-    """Retire a fully covered prefix — misses included — in numpy.
+    """Retire a fully covered prefix — misses included — in one pass.
 
     When every fill and victim writeback of the prefix lands in
-    installed DRAM, the whole miss path is pure arithmetic: no MTLB
-    state, no faults, and therefore no kernel entry that could observe
-    or pollute mid-prefix cache state.  Everything the per-miss loop
-    would do then vectorizes:
+    installed DRAM or in the shadow window through a valid mapping,
+    the miss path cannot fault, so no kernel entry can observe or
+    pollute mid-prefix cache state.  Everything the per-miss loop would
+    do then vectorizes, except the MTLB's NRU state, which one lean
+    Python pass (:func:`_mtlb_pass`) walks in program order:
 
     * the *victim dirty bit* each miss observes is "was there a store to
       this set since the set's last in-window miss (which reset the bit
       to its own op), or — before the first in-window miss — since the
       frozen bit": a windowed any-store test via one cumulative sum over
       the set-grouped store flags;
-    * the *DRAM open-row chain* is the cache-schedule trick again: an
-      access hits iff its row equals the previous same-bank access's row
-      (writebacks and fills interleaved in program order), or the live
-      open row for a bank's first access;
+    * the *memory stream* interleaves, per miss, the optional victim
+      writeback (a write) before the fill (the miss's own op); its
+      shadow accesses are the MTLB stream, and each MTLB miss adds a
+      table fetch ahead of its data access in the DRAM stream;
+    * the *DRAM open-row chain* over that stream is :func:`_row_chain`;
     * final tags/dirty bits per touched set are the last reference's,
       committed with one scatter each, and every counter is a sum.
 
@@ -796,19 +862,17 @@ def _vector_miss_retire(
     by whether the missing access is marked in the program-order
     *kernel* mask (the deferred span's replayed hashed-page-table
     accesses; without a mask the kernel share is 0), or None if the
-    prefix does not qualify (some address falls outside installed DRAM
-    — shadow traffic goes through the sequential MTLB path).  On None,
+    prefix does not qualify: some address lies outside both DRAM and
+    the shadow window (or in it on a machine with no MTLB), or some
+    touched shadow page is invalid in the table or in its cached way.
+    The sequential path then raises or services the fault.  On None,
     nothing has been mutated.
     """
     t = len(li_s)
     nm = len(mp)
     mmc = system.mmc
     mm = mmc.memory_map
-    dram_size = mm.dram_size
-    if nm:
-        fill_addr = paddr[mp]
-        if int(fill_addr.max()) >= dram_size:
-            return None
+    mtlb = mmc.mtlb
 
     ops_s = store_mask[order]
     hit_s = tag_s == prev_tag
@@ -836,83 +900,122 @@ def _vector_miss_retire(
     nwb = int(wb_s.sum())
     stall_sum = kernel_stall = 0
     if nm:
-        # Back to program order, misses only: each miss's optional
-        # victim writeback precedes its fill on the bus/DRAM.
+        # The memory stream, program order: each miss's optional victim
+        # writeback precedes its fill.
         wb_o = np.empty(t, dtype=bool)
         wb_o[order] = wb_s
         vic_o = np.empty(t, dtype=np.int64)
         vic_o[order] = prev_tag
         wb_m = wb_o[mp]
-        wb_addr = vic_o[mp][wb_m] << CACHE_LINE_SHIFT
-        if wb_addr.size and int(wb_addr.max()) >= dram_size:
-            return None
-
         total = nm + nwb
+        fill_pos = np.arange(nm, dtype=np.int64) + np.cumsum(wb_m)
         addr = np.empty(total, dtype=np.int64)
-        startpos = np.arange(nm, dtype=np.int64) + np.cumsum(wb_m) - wb_m
-        fill_pos = startpos + wb_m
-        addr[fill_pos] = fill_addr
-        addr[startpos[wb_m]] = wb_addr
+        addr[fill_pos] = paddr[mp]
+        addr[fill_pos[wb_m] - 1] = vic_o[mp][wb_m] << CACHE_LINE_SHIFT
+        is_fill = np.zeros(total, dtype=bool)
+        is_fill[fill_pos] = True
+        if mtlb is None:
+            shadow = np.zeros(total, dtype=bool)
+        else:
+            shadow = (addr >= mm.shadow_base) & (addr < mm.shadow_end)
+        if not (shadow | ((addr >= 0) & (addr < mm.dram_size))).all():
+            return None
+        sh_pos = np.flatnonzero(shadow)
+        n_sh = len(sh_pos)
+        if n_sh:
+            table = mmc.shadow_table
+            entries = table._entries
+            si = (addr[sh_pos] - mm.shadow_base) >> BASE_PAGE_SHIFT
+            raw = entries[si]
+            if not (raw & VALID_BIT).all():
+                return None
+            sets = mtlb._sets
+            set_mask = mtlb._set_mask
+            for s in np.unique(si).tolist():
+                way = sets[s & set_mask].get(s)
+                if way is not None and not way.valid:
+                    return None
 
-        # DRAM open-row chain: group by bank, compare with the previous
-        # same-bank row (or the live open row), then commit the last row
-        # per bank.
-        dram = mmc.dram
-        dt = dram.timing
-        row = addr >> dt.row_shift
-        bank = row % dt.banks
-        border = np.argsort(bank, kind="stable")
-        row_b = row[border]
-        bank_b = bank[border]
-        prev_row = np.empty(total, dtype=np.int64)
-        prev_row[1:] = row_b[:-1]
-        bfirst = np.empty(total, dtype=bool)
-        bfirst[0] = True
-        np.not_equal(bank_b[1:], bank_b[:-1], out=bfirst[1:])
-        open_rows = dram._open_rows
-        prev_row[bfirst] = np.asarray(open_rows, dtype=np.int64)[
-            bank_b[bfirst]
-        ]
-        rhit_b = row_b == prev_row
-        blast = np.empty(total, dtype=bool)
-        blast[:-1] = bfirst[1:]
-        blast[-1] = True
-        for b, r in zip(bank_b[blast].tolist(), row_b[blast].tolist()):
-            open_rows[b] = r
-        n_rhit = int(rhit_b.sum())
-        rhit = np.empty(total, dtype=bool)
-        rhit[border] = rhit_b
-        fill_rhit = rhit[fill_pos]
+            # Nothing below declines.  The MTLB stream: writebacks are
+            # writes, fills carry their miss's op.
+            op = np.ones(total, dtype=bool)
+            op[fill_pos] = store_mask[mp]
+            write = op[sh_pos]
+            missed, frames, bits = _mtlb_pass(
+                mtlb,
+                si.tolist(),
+                write.tolist(),
+                (raw & PFN_MASK).tolist(),
+            )
+            n_mmiss = len(missed)
+            real = addr.copy()
+            real[sh_pos] = (
+                np.array(frames, dtype=np.int64) << BASE_PAGE_SHIFT
+            ) | (addr[sh_pos] & BASE_PAGE_MASK)
+            entries[si] |= _REF_NP
+            entries[si[write]] |= _DIRTY_REF_NP
+            ts = mtlb.stats
+            ts.lookups += n_sh
+            ts.hits += n_sh - n_mmiss
+            ts.misses += n_mmiss
+            ts.fills += n_mmiss
+            ts.bit_writebacks += bits
+            n_sh_fills = int(is_fill[sh_pos].sum())
+            mmc.stats.shadow_fills += n_sh_fills
+            mmc.stats.shadow_writebacks += n_sh - n_sh_fills
+        else:
+            n_mmiss = 0
+            real = addr
+
+        # The DRAM stream: an MTLB miss's table fetch precedes the data
+        # access of the stream entry that missed.
+        dt = mmc.dram.timing
+        rows = real >> dt.row_shift
+        fill_owner = is_fill
+        k_owner = None
+        if kernel is not None:
+            k_owner = np.zeros(total, dtype=bool)
+            k_owner[fill_pos] = kernel[mp]
+        if n_mmiss:
+            at = sh_pos[missed]
+            fetch_row = (table.table_base + (si[missed] << 2)) >> dt.row_shift
+            rows = np.insert(rows, at, fetch_row)
+            fill_owner = np.insert(is_fill, at, is_fill[at])
+            if k_owner is not None:
+                k_owner = np.insert(k_owner, at, k_owner[at])
+        n_dram = total + n_mmiss
+        rhit = _row_chain(mmc.dram, rows)
+        n_rhit = int(rhit.sum())
 
         timing = mmc.timing
         base_mmc = timing.base_occupancy + (
-            timing.shadow_check if mmc.mtlb is not None else 0
+            timing.shadow_check if mtlb is not None else 0
         )
         bt = system.bus.timing
         reqret_cpu = (
             bt.request_cycles + bt.line_beats * bt.beat_cycles
         ) * bt.cpu_cycles_per_bus_cycle
 
-        def fill_costs(fills: int, row_hits: int) -> Tuple[int, int]:
-            """(MMC cpu cycles, stall cycles) of *fills* fills."""
+        def fill_costs(fills: int, owner: np.ndarray) -> Tuple[int, int]:
+            """(MMC cpu cycles, stall cycles) of *fills* fills whose
+            DRAM accesses *owner* marks."""
+            accesses = int(owner.sum())
+            row_hits = int(rhit[owner].sum())
             cpu = (
                 base_mmc * fills
                 + row_hits * dt.row_hit_cycles
-                + (fills - row_hits) * dt.row_miss_cycles
+                + (accesses - row_hits) * dt.row_miss_cycles
             ) * timing.cpu_cycles_per_mmc_cycle
             return cpu, fills * reqret_cpu + cpu
 
-        cpu_sum, stall_sum = fill_costs(nm, int(fill_rhit.sum()))
+        cpu_sum, stall_sum = fill_costs(nm, fill_owner)
         if kernel is not None:
-            k_fill = kernel[mp]
-            kernel_stall = fill_costs(
-                int(k_fill.sum()), int(fill_rhit[k_fill].sum())
-            )[1]
+            kernel_stall = fill_costs(int(kernel[mp].sum()), k_owner)[1]
 
-        ds = dram.stats
-        ds.accesses += total
+        ds = mmc.dram.stats
+        ds.accesses += n_dram
         ds.row_hits += n_rhit
-        ds.row_misses += total - n_rhit
+        ds.row_misses += n_dram - n_rhit
         bs = system.bus.stats
         bs.transactions += total
         bs.fill_transactions += nm

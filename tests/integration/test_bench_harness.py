@@ -284,15 +284,16 @@ class TestParallelMatrix:
         )
         # No cell can complete under a 10-reference budget: the
         # supervised pool retries the deterministic failure up to the
-        # poison threshold, then quarantines the cell and surfaces a
-        # PoisonedScenario naming the worker's real exception (not a
-        # pickling artifact), leaving the trace cache warm.
-        with pytest.raises(
-            PoisonedScenario, match="ReferenceBudgetExceeded"
-        ):
+        # poison threshold, then quarantines the cell.  run_matrix
+        # raises the worker's real exception (not a pickling artifact)
+        # with the PoisonedScenario naming it chained as the cause,
+        # leaving the trace cache warm.
+        with pytest.raises(ReferenceBudgetExceeded) as exc:
             ctx.run_matrix(
                 ["em3d"], self.CONFIGS(), "tlb96", checkpoint="p2"
             )
+        assert isinstance(exc.value.__cause__, PoisonedScenario)
+        assert "ReferenceBudgetExceeded" in str(exc.value.__cause__)
         from repro.trace.store import TraceStore
 
         assert any(

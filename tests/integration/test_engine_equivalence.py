@@ -13,6 +13,11 @@ contract's enforcement:
 * a targeted deferred-span machine (tiny TLB, physically indexed
   cache, hashed-page-table installs inside the span) compared on every
   counter the span touches, with a spy proving the span ran;
+* batched MTLB retirement: vortex/gcc/em3d MTLB cells compared on
+  RunStats and the full registry with a spy proving the batched pass
+  ran, a page-out whose next window must decline untouched, and a
+  mixed DRAM/shadow/table-fetch stream checked against the per-miss
+  fused closures;
 * hypothesis-sampled machine geometries at tiny scales, so geometry
   corners (tiny TLBs, fully associative MTLBs) are exercised too;
 * the policy surface: ``engine="vector"`` on an unbatchable machine
@@ -44,6 +49,7 @@ from repro.sim.config import (
 from repro.mem.mmc import BadPhysicalAddress
 from repro.sim.engine import (
     _deferred_span,
+    _mtlb_pass,
     _scalar_span,
     _self_consistent_hits,
     _vector_miss_retire,
@@ -52,7 +58,7 @@ from repro.sim.engine import (
 )
 from repro.sim.system import System
 from repro.trace import synth
-from repro.trace.events import MapConventional, MapRegion
+from repro.trace.events import MapConventional, MapRegion, Remap
 from repro.trace.trace import Trace, make_segment
 from repro.workloads import PAPER_SUITE
 
@@ -230,6 +236,221 @@ class TestDeferredSpan:
                     )
             raised.append(exc.value.paddr)
         assert raised[0] == raised[1] == dram
+
+
+#: A 256 KB region remapped onto one shadow-backed superpage.
+SHADOW_PAGES = 64
+SHADOW_LEN = SHADOW_PAGES * BASE_PAGE_SIZE
+
+
+def registry(result):
+    """The run's full metrics registry minus the one value that names
+    the engine by design."""
+    metrics = dict(result.metrics)
+    del metrics["sim.engine_resolved"]
+    return metrics
+
+
+def machine_state(system):
+    """Everything a declined batch retirement must leave untouched."""
+    mmc = system.mmc
+    return (
+        system.cache._tags.copy(),
+        system.cache._dirty.copy(),
+        list(mmc.dram._open_rows),
+        [
+            [
+                (k, w.pfn, w.valid, w.nru_referenced, w.ref_written,
+                 w.dirty_written)
+                for k, w in ways.items()
+            ]
+            for ways in mmc.mtlb._sets
+        ],
+        mmc.shadow_table._entries.copy(),
+        [
+            dataclasses.asdict(c.stats)
+            for c in (system, system.cache, system.bus, mmc, mmc.dram,
+                      mmc.mtlb)
+        ],
+    )
+
+
+def states_equal(a, b):
+    return all(
+        np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+        for x, y in zip(a, b)
+    )
+
+
+class TestBatchedMtlbRetire:
+    """MTLB machines retire a window's shadow-backed fills and
+    writebacks in one pass (:func:`_vector_miss_retire` driving
+    :func:`_mtlb_pass`) and must stay bit-identical to scalar."""
+
+    @pytest.fixture
+    def batched(self, monkeypatch):
+        """Spy: the MTLB accesses the batched pass retired."""
+        seen = []
+
+        def spy(mtlb, si, *args):
+            seen.append(len(si))
+            return _mtlb_pass(mtlb, si, *args)
+
+        monkeypatch.setattr(engine, "_mtlb_pass", spy)
+        return seen
+
+    @pytest.mark.parametrize("tlb", [64, 96, 128])
+    @pytest.mark.parametrize("workload", ["vortex", "gcc"])
+    def test_paper_mtlb_bit_identical(
+        self, quick_ctx, batched, workload, tlb
+    ):
+        config = paper_mtlb(tlb)
+        scalar = quick_ctx.run(
+            workload, dataclasses.replace(config, engine="scalar")
+        )
+        assert not batched
+        vector = quick_ctx.run(
+            workload, dataclasses.replace(config, engine="vector")
+        )
+        assert dataclasses.asdict(scalar.stats) == dataclasses.asdict(
+            vector.stats
+        )
+        assert registry(scalar) == registry(vector)
+        # The batched pass carried most of the MTLB traffic; a retire
+        # that always declined would leave it at zero.
+        assert sum(batched) > vector.stats.mtlb_lookups // 2
+
+    @pytest.mark.parametrize(
+        "mtlb_entries,assoc", [(512, 0), (256, 4)], ids=["512full", "2564w"]
+    )
+    def test_em3d_figure4_geometry_bit_identical(
+        self, quick_ctx, batched, mtlb_entries, assoc
+    ):
+        config = paper_mtlb(128, mtlb_entries, assoc)
+        results = [
+            quick_ctx.run(
+                "em3d", dataclasses.replace(config, engine=name)
+            )
+            for name in ("scalar", "vector")
+        ]
+        assert dataclasses.asdict(results[0].stats) == dataclasses.asdict(
+            results[1].stats
+        )
+        assert registry(results[0]) == registry(results[1])
+        assert sum(batched) > 0
+
+    def test_paged_out_page_declines_then_faults_identically(
+        self, monkeypatch
+    ):
+        """A base page paged out between segments: the next window
+        touching it declines with nothing mutated, the sequential path
+        takes the MTLB fault and pages it back in, and both engines
+        end identical."""
+        rng = np.random.default_rng(11)
+        lines = REGION + 32 * rng.integers(0, SHADOW_LEN // 32, 6000)
+        # The second segment opens on the page that gets paged out.
+        page3 = REGION + 3 * BASE_PAGE_SIZE + 32 * np.arange(8)
+        again = np.concatenate([page3, lines])
+        trace = Trace("pageout")
+        trace.add(MapRegion(REGION, SHADOW_LEN))
+        trace.add(Remap(REGION, SHADOW_LEN))
+        for label, vaddrs in (("warm", lines), ("again", again)):
+            stores = rng.random(vaddrs.size) < 0.3
+            trace.add(make_segment(label, vaddrs, write_mask=stores))
+
+        def page_out(system, seg):
+            if seg.label == "warm":
+                process = system.kernel.current
+                record = system.kernel.vm.superpage_record(
+                    process.page_table.lookup(REGION).pbase
+                )
+                system.kernel.pager.page_out(record, 3)
+
+        declined = []
+
+        def spy(system, *args):
+            before = machine_state(system)
+            split = _vector_miss_retire(system, *args)
+            if split is None:
+                declined.append(states_equal(before, machine_state(system)))
+            return split
+
+        monkeypatch.setattr(engine, "_vector_miss_retire", spy)
+        seen = {}
+        for name in ("scalar", "vector"):
+            system = System(dataclasses.replace(paper_mtlb(96), engine=name))
+            system.check_hook = page_out
+            result = system.run(trace)
+            assert system.kernel.pager.stats.pages_in == 1
+            seen[name] = (
+                dataclasses.asdict(result.stats),
+                registry(result),
+                dataclasses.asdict(system.kernel.pager.stats),
+                system.mmc.shadow_table._entries.tolist(),
+            )
+        assert declined == [True]
+        assert seen["scalar"] == seen["vector"]
+
+    def test_mixed_stream_matches_the_fused_closures(self):
+        """DRAM fills, shadow fills, shadow writebacks and MTLB table
+        fetches share one open-row chain: one batched retirement equals
+        the per-miss fused closures on every counter and every piece
+        of machine state."""
+        rng = np.random.default_rng(5)
+        t = 6000
+        # Shadow pages 1500 entries apart, so their table fetches open
+        # different DRAM rows.
+        pages = 1500 * np.arange(SHADOW_PAGES, dtype=np.int64)
+
+        def machine():
+            system = System(paper_mtlb(96, 8, 2))
+            for k, si in enumerate(pages.tolist()):
+                system.mmc.shadow_table.set_mapping(si, 0x400 + 3 * k)
+            return system
+
+        batch, serial = machine(), machine()
+        mm = batch.mmc.memory_map
+        dram_lines = rng.integers(0, 1 << 22, t, dtype=np.int64)
+        shadow_lines = mm.shadow_base + (
+            rng.choice(pages, t) << 12
+        ) + rng.integers(0, BASE_PAGE_SIZE, t, dtype=np.int64)
+        paddr = np.where(rng.random(t) < 0.5, dram_lines, shadow_lines)
+        paddr &= ~31
+        store = rng.random(t) < 0.4
+
+        cache = batch.cache
+        line_idx = (paddr >> 5) & cache._index_mask
+        hit, order, li_s, tag_s, prev_tag, first = _self_consistent_hits(
+            cache._tags, line_idx, paddr >> 5
+        )
+        user, kernel_share = _vector_miss_retire(
+            batch, cache._tags, cache._dirty, order, li_s, tag_s,
+            prev_tag, first, store, np.flatnonzero(~hit), paddr,
+        )
+
+        fill, writeback, drain = engine._fused_paths(serial)
+        tags, dirty = serial.cache._tags, serial.cache._dirty
+        stall = 0
+        for i, (addr, op) in enumerate(zip(paddr.tolist(),
+                                           store.tolist())):
+            idx = int(line_idx[i])
+            if tags[idx] == addr >> 5:
+                dirty[idx] |= op
+                continue
+            if tags[idx] != -1 and dirty[idx]:
+                serial.cache.stats.writebacks += 1
+                writeback(int(tags[idx]) << 5)
+            tags[idx] = addr >> 5
+            dirty[idx] = op
+            stall += fill(addr, int(op))
+        drain()
+
+        assert kernel_share == 0 and user == stall
+        assert states_equal(machine_state(batch), machine_state(serial))
+        mmc, mtlb = batch.mmc, batch.mmc.mtlb
+        assert 0 < mmc.stats.shadow_fills < mmc.stats.fills
+        assert mmc.stats.shadow_writebacks > 0
+        assert mtlb.stats.misses > 0 and mtlb.stats.evictions > 0
 
 
 class TestSampledGeometries:

@@ -268,6 +268,30 @@ class TestCircuitBreaker:
         if jobs > 1:
             assert isinstance(exc.value.__cause__, CircuitBreakerOpen)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_one_failing_cell_raises_the_same_type_at_any_jobs(
+        self, tmp_path, jobs
+    ):
+        """One cell over budget is too few terminal failures to trip
+        the breaker, so the supervised path poisons it; run_matrix must
+        still surface the cell's own error, as the serial path does,
+        with the poison chained as its cause."""
+        ctx = BenchContext(
+            quick=True, scales=dict(TINY), cache_dir=tmp_path / "cache"
+        )
+        # Budget between the two traces' lengths: em3d fails, radix
+        # completes.
+        lengths = {w: ctx.trace(w).total_refs for w in TINY}
+        assert lengths["radix"] < lengths["em3d"]
+        ctx.max_references = lengths["radix"]
+        with pytest.raises(ReferenceBudgetExceeded) as exc:
+            ctx.run_matrix(
+                ["em3d", "radix"], {"base96": paper_no_mtlb(96)},
+                "base96", jobs=jobs,
+            )
+        if jobs > 1:
+            assert isinstance(exc.value.__cause__, PoisonedScenario)
+
 
 class TestGracefulDrain:
     def test_programmatic_drain_commits_in_flight(self, tmp_path):

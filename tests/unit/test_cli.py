@@ -132,6 +132,33 @@ class TestRequireIdentical:
         ) == 1
 
 
+class TestPerfLedger:
+    def test_rows_keep_their_own_provenance(self, monkeypatch, tmp_path):
+        """Two writes under different contexts each keep the context
+        they were measured in; no file-level meta speaks for both."""
+        import json
+
+        from repro.bench import BenchContext
+        from repro.cli import _write_perf_baseline
+
+        monkeypatch.chdir(tmp_path)
+        quick = BenchContext(quick=True, cache_dir=tmp_path, seed=7)
+        paper = BenchContext(quick=False, cache_dir=tmp_path, jobs=2)
+        _write_perf_baseline("fig3", 1.5, quick)
+        _write_perf_baseline("fig4", 2.5, paper)
+        ledger = json.loads((tmp_path / "BENCH_perf.json").read_text())
+        assert "meta" not in ledger
+        rows = ledger["runs"]
+        fig3 = rows["fig3|engine=auto,jobs=1"]
+        fig4 = rows["fig4|engine=auto,jobs=2"]
+        assert fig3["metrics"] == {"wall_seconds": 1.5}
+        assert (fig3["meta"]["quick"], fig3["meta"]["seed"]) == (True, 7)
+        assert fig4["meta"]["quick"] is False
+        assert fig4["meta"]["scales"] == paper.scales
+        for row in (fig3, fig4):
+            assert {"nproc", "python", "numpy"} <= set(row["meta"])
+
+
 class TestEngineAndJobsFlags:
     def test_engine_flag_rejects_unknown(self):
         with pytest.raises(SystemExit):

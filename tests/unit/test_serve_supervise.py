@@ -16,6 +16,7 @@ import pytest
 from repro.api import ScenarioSpec
 from repro.errors import (
     CircuitBreakerOpen,
+    PoisonedScenario,
     ReferenceBudgetExceeded,
     ScenarioDeadlineExceeded,
     SimulationError,
@@ -167,6 +168,16 @@ class TestBreakerRootCause:
         assert clone.causes == breaker.causes
         assert isinstance(clone.exemplar, ReferenceBudgetExceeded)
         assert str(clone) == str(breaker)
+
+    def test_poison_pickle_round_trip_keeps_the_error(self):
+        poison = PoisonedScenario(
+            "em3d|tlb96", 2, "ReferenceBudgetExceeded: over budget",
+            ReferenceBudgetExceeded(20, 10),
+        )
+        clone = pickle.loads(pickle.dumps(poison))
+        assert isinstance(clone.error, ReferenceBudgetExceeded)
+        assert str(clone.error) == str(poison.error)
+        assert str(clone) == str(poison)
 
 
 def _poison(fingerprint="ab" + "0" * 62):
