@@ -78,7 +78,31 @@ class AccessResult:
     writeback_paddr: Optional[int] = None
 
 
-class DirectMappedCache:
+class _RangeFlush:
+    """``flush_range`` over a cache's batched ``flush_lines``."""
+
+    def flush_range(
+        self,
+        vstart: int,
+        length: int,
+        translate: Callable[[int], int],
+    ) -> Tuple[int, List[int]]:
+        """Flush every line of ``[vstart, vstart+length)``.
+
+        *translate* maps a virtual line address to its current physical
+        line address.  Returns ``(lines_checked, dirty_paddrs)``.
+        """
+        if vstart % CACHE_LINE_SIZE or length % CACHE_LINE_SIZE:
+            raise ValueError("flush range must be line aligned")
+        vaddrs = np.arange(vstart, vstart + length, CACHE_LINE_SIZE,
+                           dtype=np.int64)
+        paddrs = np.array([translate(v) for v in vaddrs.tolist()],
+                          dtype=np.int64)
+        _present, dirty = self.flush_lines(vaddrs, paddrs)
+        return len(vaddrs), paddrs[dirty].tolist()
+
+
+class DirectMappedCache(_RangeFlush):
     """Direct-mapped writeback cache — the simulator fast path.
 
     Virtually indexed (the paper's PA8000-like configuration) by
@@ -203,28 +227,36 @@ class DirectMappedCache:
         self._dirty[idx] = 0
         return True, dirty
 
-    def flush_range(
-        self,
-        vstart: int,
-        length: int,
-        translate: Callable[[int], int],
-    ) -> Tuple[int, List[int]]:
-        """Flush every line of ``[vstart, vstart+length)``.
+    def flush_lines(
+        self, vaddrs: np.ndarray, paddrs: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Flush a batch of lines, exactly as :meth:`flush_line` would
+        one at a time in array order.
 
-        *translate* maps a virtual line address to its current physical
-        line address.  Returns ``(lines_checked, dirty_paddrs)``.
+        Returns ``(present, dirty)`` boolean masks; ``dirty`` is only set
+        where ``present`` is.  Two entries naming the same set and tag
+        (a frame aliased twice in the range) count once, at the first:
+        the first flush invalidates the line the second would have found.
+        Distinct tags in one set never interact, because only a line whose
+        tag matches is invalidated.
         """
-        if vstart % CACHE_LINE_SIZE or length % CACHE_LINE_SIZE:
-            raise ValueError("flush range must be line aligned")
-        dirty_paddrs: List[int] = []
-        checked = 0
-        for vaddr in range(vstart, vstart + length, CACHE_LINE_SIZE):
-            paddr = translate(vaddr)
-            checked += 1
-            present, dirty = self.flush_line(vaddr, paddr)
-            if present and dirty:
-                dirty_paddrs.append(paddr)
-        return checked, dirty_paddrs
+        idx_addr = paddrs if self.physically_indexed else vaddrs
+        idx = (idx_addr >> CACHE_LINE_SHIFT) & self._index_mask
+        found = self._tags[idx] == (paddrs >> CACHE_LINE_SHIFT)
+        hit_sets, first = np.unique(idx[found], return_index=True)
+        hits = np.flatnonzero(found)[first]
+        present = np.zeros_like(found)
+        present[hits] = True
+        dirty = np.zeros_like(present)
+        dirty[hits] = self._dirty[hit_sets] != 0
+        stats = self.stats
+        stats.flush_lines_checked += len(idx)
+        stats.flush_lines_present += len(hits)
+        stats.flush_writebacks += int(np.count_nonzero(dirty))
+        self.mutation_stamp += len(hits)
+        self._tags[hit_sets] = _INVALID
+        self._dirty[hit_sets] = 0
+        return present, dirty
 
     def invalidate_all(self) -> None:
         """Drop every line without writing anything back (tests only).
@@ -242,7 +274,7 @@ class DirectMappedCache:
         return int((self._tags != _INVALID).sum())
 
 
-class SetAssociativeCache:
+class SetAssociativeCache(_RangeFlush):
     """Generic N-way set-associative VIPT writeback cache with LRU.
 
     Shares the :class:`DirectMappedCache` interface.  Each set is a dict
@@ -383,24 +415,41 @@ class SetAssociativeCache:
             row[row == tag] = _INVALID
         return True, dirty
 
-    def flush_range(
-        self,
-        vstart: int,
-        length: int,
-        translate: Callable[[int], int],
-    ) -> Tuple[int, List[int]]:
-        """Flush every line of a virtual range; see DirectMappedCache."""
-        if vstart % CACHE_LINE_SIZE or length % CACHE_LINE_SIZE:
-            raise ValueError("flush range must be line aligned")
-        dirty_paddrs: List[int] = []
-        checked = 0
-        for vaddr in range(vstart, vstart + length, CACHE_LINE_SIZE):
-            paddr = translate(vaddr)
-            checked += 1
-            present, dirty = self.flush_line(vaddr, paddr)
-            if present and dirty:
-                dirty_paddrs.append(paddr)
-        return checked, dirty_paddrs
+    def flush_lines(
+        self, vaddrs: np.ndarray, paddrs: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Flush a batch of lines; see :meth:`DirectMappedCache.flush_lines`.
+
+        The LRU dicts are the ground truth, so each line is one dict pop
+        (a repeated line finds its set already emptied of it); the
+        residency mirror, if built, is patched once for all of them.
+        """
+        idx_addr = paddrs if self.physically_indexed else vaddrs
+        idx = (idx_addr >> CACHE_LINE_SHIFT) & self._index_mask
+        tags = paddrs >> CACHE_LINE_SHIFT
+        present = np.zeros(len(idx), dtype=bool)
+        dirty = np.zeros(len(idx), dtype=bool)
+        sets = self._sets
+        for i, (set_index, tag) in enumerate(
+            zip(idx.tolist(), tags.tolist())
+        ):
+            line_set = sets[set_index]
+            if tag in line_set:
+                present[i] = True
+                dirty[i] = line_set.pop(tag)
+        hits = np.flatnonzero(present)
+        stats = self.stats
+        stats.flush_lines_checked += len(idx)
+        stats.flush_lines_present += len(hits)
+        stats.flush_writebacks += int(np.count_nonzero(dirty))
+        self.mutation_stamp += len(hits)
+        if self._mirror is not None and len(hits):
+            rows = idx[hits]
+            hit_rows, ways = np.nonzero(
+                self._mirror[rows] == tags[hits][:, None]
+            )
+            self._mirror[rows[hit_rows], ways] = _INVALID
+        return present, dirty
 
     def invalidate_all(self) -> None:
         """Drop every line without writing anything back (tests only)."""

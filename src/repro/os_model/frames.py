@@ -11,11 +11,41 @@ baseline for ablation A1.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
-from typing import List, Set
+from typing import List, Set, Tuple
 
 from ..core.addrspace import BASE_PAGE_SHIFT, BASE_PAGE_SIZE
+
+
+@functools.lru_cache(maxsize=8)
+def _free_order(
+    first_frame: int, frame_count: int, fragmentation: str, seed: int
+) -> Tuple[int, ...]:
+    """The initial free list of an allocator, last frame to hand out
+    first.
+
+    Deterministic in its arguments, so it is computed once per process
+    and shared (as an immutable tuple) by every allocator built with
+    the same arguments; each allocator copies it into its own list.
+    """
+    frames = list(range(first_frame, first_frame + frame_count))
+    if fragmentation == "none":
+        free_list = frames
+    elif fragmentation == "shuffled":
+        rng = random.Random(seed)
+        rng.shuffle(frames)
+        free_list = frames
+    elif fragmentation == "aged":
+        rng = random.Random(seed)
+        free_list = [f for f in frames if rng.random() < 0.5]
+        rng.shuffle(free_list)
+    elif fragmentation == "checkerboard":
+        free_list = [f for f in frames if (f - first_frame) % 2 == 0]
+    else:
+        raise ValueError(f"unknown fragmentation mode {fragmentation!r}")
+    return tuple(reversed(free_list))
 
 
 class OutOfMemory(Exception):
@@ -60,24 +90,10 @@ class FrameAllocator:
         self.first_frame = first_frame
         self.frame_count = frame_count
         self.fragmentation = fragmentation
-        frames = list(range(first_frame, first_frame + frame_count))
-        if fragmentation == "none":
-            free_list = frames
-        elif fragmentation == "shuffled":
-            rng = random.Random(seed)
-            rng.shuffle(frames)
-            free_list = frames
-        elif fragmentation == "aged":
-            rng = random.Random(seed)
-            free_list = [f for f in frames if rng.random() < 0.5]
-            rng.shuffle(free_list)
-        elif fragmentation == "checkerboard":
-            free_list = [f for f in frames if (f - first_frame) % 2 == 0]
-        else:
-            raise ValueError(f"unknown fragmentation mode {fragmentation!r}")
-        # Pop from the end, so reverse to preserve intended order.
-        self._free: List[int] = list(reversed(free_list))
-        self._free_set: Set[int] = set(free_list)
+        order = _free_order(first_frame, frame_count, fragmentation, seed)
+        # Pop from the end: the order is stored reversed.
+        self._free: List[int] = list(order)
+        self._free_set: Set[int] = set(order)
         self.stats = FrameStats()
 
     @property

@@ -24,6 +24,7 @@ themselves on any region that keeps missing.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -89,7 +90,9 @@ class PromotionEngine:
     """Miss-driven promotion of base-page regions to shadow superpages."""
 
     def __init__(self, kernel, config: PromotionConfig) -> None:
-        self.kernel = kernel
+        # The kernel owns this engine; held by weak proxy so a finished
+        # kernel is freed by reference counting, not the collector.
+        self.kernel = weakref.proxy(kernel)
         self.config = config
         self.stats = PromotionStats()
         self._candidates: List[_Candidate] = []

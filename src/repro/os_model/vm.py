@@ -20,8 +20,9 @@ path (for ablation A1) are also provided.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..core.addrspace import (
     BASE_PAGE_SHIFT,
@@ -142,7 +143,7 @@ class VmSubsystem:
         #: to the existing base-page mapping below 16 KB); "abort"
         #: propagates :class:`~repro.core.shadow_space.ShadowSpaceExhausted`.
         self.degradation = degradation
-        self.machine = None
+        self._machine: Optional[Callable[[], object]] = None
         #: shadow region base -> live superpage record.
         self.shadow_superpages: Dict[int, ShadowSuperpage] = {}
         #: regions consumed by all-shadow base-page mappings (Section 4).
@@ -152,8 +153,18 @@ class VmSubsystem:
         self.degraded_remap_events = 0
 
     def attach_machine(self, machine) -> None:
-        """Install the machine port (called by the System at build time)."""
-        self.machine = machine
+        """Install the machine port (called by the System at build time).
+
+        Held weakly: the machine owns this subsystem through its kernel,
+        so a strong reference would leave every finished machine as
+        cyclic garbage for the collector.
+        """
+        self._machine = weakref.ref(machine)
+
+    @property
+    def machine(self):
+        """The attached machine, or None (never attached, or gone)."""
+        return None if self._machine is None else self._machine()
 
     # ------------------------------------------------------------------ #
     # Plain mapping
@@ -474,6 +485,7 @@ class VmSubsystem:
         return None
 
     def _require_machine(self):
-        if self.machine is None:
+        machine = self.machine
+        if machine is None:
             raise RuntimeError("VM subsystem has no machine attached")
-        return self.machine
+        return machine

@@ -18,7 +18,10 @@ kernel operation go through the ordinary component APIs either way.
 from __future__ import annotations
 
 import warnings
+import weakref
 from typing import Callable, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from ..core.addrspace import BASE_PAGE_SHIFT, BASE_PAGE_SIZE, CACHE_LINE_SIZE
 from ..core.mtlb import Mtlb, MtlbFault
@@ -55,6 +58,7 @@ from ..core.backends import get_backend
 from .config import SystemConfig
 from .engine import (
     EngineState,
+    _fused_paths,
     resolve_engine_decision,
     run_segment_scalar,
     run_segment_vector,
@@ -64,6 +68,10 @@ from .stats import RunStats
 
 
 __all__ = ["SimulationError", "System", "simulate"]
+
+#: Byte offsets of the cache lines within one base page.
+_PAGE_LINE_OFFSETS = np.arange(0, BASE_PAGE_SIZE, CACHE_LINE_SIZE,
+                               dtype=np.int64)
 
 
 class System:
@@ -220,33 +228,61 @@ class System:
 
         Translation uses the process's *current* page tables (callers flush
         before changing mappings).  Returns ``(cycles, dirty_lines)``.
+
+        Each base page is translated on its own, then the cache flushes
+        the whole range's lines in one batch and the dirty lines are
+        written back in range order.  Nothing the flush does reads the
+        cache back, so this equals flushing and writing back line by
+        line (DESIGN.md §3.3).  An unmapped page raises
+        :class:`SimulationError` after the pages before it are flushed.
         """
-        cfg = self.config.cache
-        cache = self.cache
         table = process.page_table
-        cycles = 0
-        dirty_lines = 0
-        line = CACHE_LINE_SIZE
+        pages: List[int] = []
+        deltas: List[int] = []
+        unmapped = None
         for page_vaddr in range(vstart, vstart + length, BASE_PAGE_SIZE):
             mapping = table.lookup(page_vaddr)
             if mapping is None:
-                raise SimulationError(
-                    f"flush of unmapped page {page_vaddr:#010x}"
-                )
-            delta = mapping.pbase - mapping.vbase
-            for line_vaddr in range(
-                page_vaddr, page_vaddr + BASE_PAGE_SIZE, line
-            ):
-                cycles += cfg.flush_line_cycles
-                present, dirty = cache.flush_line(
-                    line_vaddr, line_vaddr + delta
-                )
-                if present and dirty:
-                    cycles += cfg.flush_dirty_cycles
-                    self.bus.writeback_cycles()
-                    self.mmc.writeback(line_vaddr + delta)
-                    dirty_lines += 1
-        return cycles, dirty_lines
+                unmapped = page_vaddr
+                break
+            pages.append(page_vaddr)
+            deltas.append(mapping.pbase - mapping.vbase)
+        vaddrs = (
+            np.array(pages, dtype=np.int64)[:, None] + _PAGE_LINE_OFFSETS
+        ).ravel()
+        paddrs = vaddrs + np.repeat(
+            np.array(deltas, dtype=np.int64), len(_PAGE_LINE_OFFSETS)
+        )
+        _present, dirty = self.cache.flush_lines(vaddrs, paddrs)
+        dirty_paddrs = paddrs[dirty].tolist()
+        cfg = self.config.cache
+        cycles = (
+            len(vaddrs) * cfg.flush_line_cycles
+            + len(dirty_paddrs) * cfg.flush_dirty_cycles
+        )
+        if dirty_paddrs:
+            self._write_back_lines(dirty_paddrs)
+        if unmapped is not None:
+            raise SimulationError(f"flush of unmapped page {unmapped:#010x}")
+        return cycles, len(dirty_paddrs)
+
+    def _write_back_lines(self, paddrs: List[int]) -> None:
+        """Write dirty lines back in order: through the fused writeback
+        when this machine qualifies for it, else bus then MMC."""
+        fused = _fused_paths(self)
+        if fused is None:
+            bus = self.bus
+            mmc = self.mmc
+            for paddr in paddrs:
+                bus.writeback_cycles()
+                mmc.writeback(paddr)
+            return
+        _fill, writeback, drain = fused
+        try:
+            for paddr in paddrs:
+                writeback(paddr)
+        finally:
+            drain()
 
     def shootdown_range(self, vstart: int, length: int) -> int:
         """Purge CPU TLB entries for a virtual range (and the micro-ITLB)."""
@@ -391,9 +427,12 @@ class System:
         """Register every component's counter snapshot with the metrics
         registry (DESIGN.md §9).  Sources are pulled only at collect
         time, so registration costs the hot loop nothing."""
-        # Late-bound through ``self`` so a component swapped in after
+        # Late-bound through the machine so a component swapped in after
         # construction (tests do this to the cache) is still the one
-        # snapshotted at collect time.
+        # snapshotted at collect time.  The sources hold it by weak
+        # proxy: the registry belongs to the machine, and a strong
+        # reference would make every finished machine cyclic garbage.
+        me = weakref.proxy(self)
         reg = self.metrics
         # Engine-resolution surfacing (registry-only, deliberately NOT
         # a RunStats/extra field: stats must stay bit-identical across
@@ -402,26 +441,26 @@ class System:
         reg.add_source(
             "sim",
             lambda: {
-                "engine_resolved": 1.0 if self.engine == "vector" else 0.0
+                "engine_resolved": 1.0 if me.engine == "vector" else 0.0
             },
         )
-        reg.add_source("tlb", lambda: self.tlb.metrics_snapshot())
-        reg.add_source("cache", lambda: self.cache.metrics_snapshot())
-        reg.add_source("mmc", lambda: self.mmc.metrics_snapshot())
+        reg.add_source("tlb", lambda: me.tlb.metrics_snapshot())
+        reg.add_source("cache", lambda: me.cache.metrics_snapshot())
+        reg.add_source("mmc", lambda: me.mmc.metrics_snapshot())
         reg.add_source(
-            "kernel", lambda: self.kernel.stats.metrics_snapshot()
+            "kernel", lambda: me.kernel.stats.metrics_snapshot()
         )
         reg.add_source(
             "promotion",
-            lambda: self.kernel.promotion.stats.metrics_snapshot(),
+            lambda: me.kernel.promotion.stats.metrics_snapshot(),
         )
         # Backend-owned sources: the mtlb backend registers the "mtlb"
         # source (when an MTLB exists) exactly as the inline code used
         # to; other backends bring their own counters.
-        self.backend.register_metrics(self)
+        self.backend.register_metrics(me)
         reg.add_source(
             "vm",
-            lambda: {"degraded_remaps": self.kernel.vm.degraded_remap_events},
+            lambda: {"degraded_remaps": me.kernel.vm.degraded_remap_events},
         )
         plan = self.fault_plan
         if plan is not None:

@@ -8,8 +8,10 @@ through ``repro metrics diff --require-identical``.
 """
 
 import dataclasses
+import gc
 import json
 import warnings
+import weakref
 
 import pytest
 
@@ -20,7 +22,7 @@ from repro.errors import SnapshotSchemaError, SpecValidationError
 from repro.obs.snapshot import SCHEMA_VERSION, load_snapshot, write_snapshot
 from repro.serve import ResultStore, SweepClient, SweepScheduler
 from repro.sim.config import paper_mtlb, paper_no_mtlb
-from repro.sim.system import simulate
+from repro.sim.system import System, simulate
 from repro.workloads import PAPER_SUITE, build_workload
 
 TINY = {name: 0.02 for name in PAPER_SUITE}
@@ -70,6 +72,37 @@ class TestFacadeEquivalence:
         assert vector.cache_hit
         assert vector.fingerprint == scalar.fingerprint
         assert vector.stats == scalar.stats
+
+
+class TestRunFreesMachine:
+    """A finished machine is freed by reference counting alone: nothing
+    it owns refers back to it strongly, so the cyclic collector is not
+    needed to reclaim a run's memory."""
+
+    @pytest.mark.parametrize("backend", ["mtlb", "coalesced", "victima"])
+    def test_system_dead_once_report_returned(
+        self, session, monkeypatch, backend
+    ):
+        machines = []
+        build = System.__init__
+
+        def recording_init(self, config):
+            machines.append(weakref.ref(self))
+            build(self, config)
+
+        monkeypatch.setattr(System, "__init__", recording_init)
+        config = paper_mtlb(96) if backend == "mtlb" else paper_no_mtlb(96)
+        spec = ScenarioSpec("em3d", config, backend=backend)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            report = session.run(spec)
+            assert report.stats is not None and not report.cache_hit
+            assert len(machines) == 1
+            assert machines[0]() is None
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 class TestSchedulerDedupe:

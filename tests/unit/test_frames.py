@@ -1,5 +1,7 @@
 """Unit and property tests for the physical frame allocator."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -99,6 +101,57 @@ class TestContiguous:
         taken = set(range(pfn, pfn + 8))
         rest = {alloc.allocate() for _ in range(24)}
         assert taken.isdisjoint(rest)
+
+
+MODES = ["none", "shuffled", "aged", "checkerboard"]
+
+
+def _uncached_hand_out_order(first_frame, frame_count, fragmentation, seed):
+    """The order a fresh allocator hands frames out in, computed from
+    scratch (no per-process cache involved)."""
+    frames = list(range(first_frame, first_frame + frame_count))
+    if fragmentation == "shuffled":
+        random.Random(seed).shuffle(frames)
+    elif fragmentation == "aged":
+        rng = random.Random(seed)
+        frames = [f for f in frames if rng.random() < 0.5]
+        rng.shuffle(frames)
+    elif fragmentation == "checkerboard":
+        frames = [f for f in frames if (f - first_frame) % 2 == 0]
+    return frames
+
+
+class TestFrameOrderCache:
+    """The initial free list is computed once per process and shared."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_order_equals_uncached_reference(self, mode):
+        expected = _uncached_hand_out_order(7, 300, mode, 41)
+        for _ in range(2):  # the second build reads the cache
+            alloc = FrameAllocator(7, 300, fragmentation=mode, seed=41)
+            assert [alloc.allocate() for _ in expected] == expected
+            with pytest.raises(OutOfMemory):
+                alloc.allocate()
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_allocators_from_one_key_are_independent(self, mode):
+        first = FrameAllocator(0, 64, fragmentation=mode, seed=9)
+        second = FrameAllocator(0, 64, fragmentation=mode, seed=9)
+        expected = _uncached_hand_out_order(0, 64, mode, 9)
+        taken = first.allocate_many(len(expected) // 2)
+        first.free(taken[0])
+        first.allocate_contiguous(1)
+        assert second.free_frames == len(expected)
+        assert [second.allocate() for _ in expected] == expected
+        third = FrameAllocator(0, 64, fragmentation=mode, seed=9)
+        assert [third.allocate() for _ in expected] == expected
+
+    def test_seed_is_part_of_the_key(self):
+        a = FrameAllocator(0, 256, fragmentation="shuffled", seed=1)
+        b = FrameAllocator(0, 256, fragmentation="shuffled", seed=2)
+        assert [a.allocate() for _ in range(16)] != [
+            b.allocate() for _ in range(16)
+        ]
 
 
 @settings(max_examples=40, deadline=None)

@@ -116,7 +116,11 @@ def test_hpt_matches_dict_model(ops):
             if (space, vpn) in reference:
                 continue
             pfn = (space + 1) * 1000 + vpn
-            mapping = page_tables[space].map_base_page(vpn << 12, pfn)
+            # A purge drops only the HPT entry; re-mapping the page
+            # reloads the HPT from the page table's existing mapping.
+            mapping = page_tables[space].lookup(
+                vpn << 12
+            ) or page_tables[space].map_base_page(vpn << 12, pfn)
             hpt.preload(vpn, mapping, space=space)
             reference[(space, vpn)] = pfn << 12
         elif op == "purge":
